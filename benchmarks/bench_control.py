@@ -19,25 +19,23 @@ engine at ``drift_bound=0`` must produce results bit-identical (SHA-256
 over routing/subnet/objective) to the full engine on the same epoch
 sequence.
 
-With ``--engine sharded`` each arity additionally times the *cold*
-full solve (fresh consolidator, path sets not yet compiled — the
-worst-case control-plane tail the delta engine falls back to) against
-the pod-sharded engine at each ``--shards`` count, asserting the
-``shards=1`` digest is bit-identical to the indexed solve; ``--k48``
-appends a cold-solve-only row on a k=48 fabric with 10^5 background
-flows.
+Each arity also times the *cold* full solve (fresh consolidator on a
+content-identical topology with the process-wide index registry
+cleared, so every path set compiles — the worst-case control-plane
+tail the delta engine falls back to) and the same consolidator's warm
+repeat, asserting both commit the same digest.  ``--k48`` appends a
+full-solve-only row on a k=48 fabric with 10^5 background flows.
 
 Run as a module (repository root on ``sys.path``, ``src`` on
 ``PYTHONPATH``)::
 
     PYTHONPATH=src python -m benchmarks.bench_control --k 8 16
-    PYTHONPATH=src python -m benchmarks.bench_control --quick --engine sharded  # CI smoke
-    PYTHONPATH=src python -m benchmarks.bench_control --engine sharded --k48
+    PYTHONPATH=src python -m benchmarks.bench_control --quick  # CI smoke
+    PYTHONPATH=src python -m benchmarks.bench_control --k 8 16 32 --k48
 
-Emits ``BENCH_control.json``.  Targets: at k=16+ under 10 % churn the
+Emits ``BENCH_control.json``.  Target: at k=16+ under 10 % churn the
 delta engine's steady-state epoch decision is >= 5x faster than the
-full solve (and stays sub-second at k=32); the sharded engine is
->= 3x faster than the indexed cold solve at k=32 with >= 4 jobs.
+full solve (and stays sub-second at k=32).
 """
 
 from __future__ import annotations
@@ -45,16 +43,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import time
 
 import numpy as np
 
-from repro.consolidation import (
-    DeltaConsolidator,
-    GreedyConsolidator,
-    shutdown_shard_pool,
-)
+from repro.consolidation import DeltaConsolidator, GreedyConsolidator
 from repro.control.rules import diff_routings
 from repro.netfast import clear_index_registry
 from repro.flows.dynamics import FlowChurnModel
@@ -196,90 +191,27 @@ def _cold_copy(ft):
     return FatTree(ft.k)
 
 
-def bench_sharded(ft, traffic, shards_list, jobs_override=None) -> dict:
-    """Cold/full-solve scaling of the sharded engine vs the indexed one.
+def bench_full_solve(ft, traffic) -> dict:
+    """Cold and warm indexed full solve of one epoch.
 
-    ``cold_full_s`` is a fresh indexed consolidator's first solve on a
-    cold process (path caches and the process-wide compiled-index
-    registry cold — the control-plane tail this engine exists to kill);
-    ``warm_full_s`` is the same consolidator's repeat solve, the
-    steady-state full-epoch figure.  Per shard count the block reports
-    the first sharded solve on an equally cold slate (``sharded_cold_s``:
-    worker pool, worker path caches and parent index all cold) and the
-    steady-state repeat (``sharded_s``: live pool, warm caches — the
-    per-epoch figure a long-running controller sees).  ``shards=1``
-    carries the bit-identity contract and is asserted against the
-    indexed digest here, on every bench run.
-    """
-    indexed = GreedyConsolidator(_cold_copy(ft))
+    ``cold_full_s`` is a fresh consolidator's first solve with every
+    path set still to compile; ``warm_full_s`` is the same
+    consolidator's repeat, the steady-state full-epoch figure.  Both
+    must commit the same decision."""
+    cons = GreedyConsolidator(_cold_copy(ft))
     t0 = time.perf_counter()
-    reference = indexed.consolidate(traffic, SCALE_FACTOR)
+    cold = cons.consolidate(traffic, SCALE_FACTOR)
     cold_full_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    indexed.consolidate(traffic, SCALE_FACTOR)
+    warm = cons.consolidate(traffic, SCALE_FACTOR)
     warm_full_s = time.perf_counter() - t0
-    ref_digest = result_digest(reference)
-    print(f"    indexed: cold={cold_full_s:7.2f}s warm={warm_full_s:7.2f}s")
-
-    # the engine clamps shards to the core-group count; dropping the
-    # excess here keeps the rows honestly labeled
-    shards_list = [s for s in shards_list if s <= ft.n_core_groups] or [1]
-    points = []
-    for n_shards in shards_list:
-        jobs = jobs_override if jobs_override is not None else max(1, n_shards)
-        shutdown_shard_pool()
-        cons = GreedyConsolidator(
-            _cold_copy(ft), engine="sharded", shards=n_shards, shard_jobs=jobs
-        )
-        t0 = time.perf_counter()
-        cold = cons.consolidate(traffic, SCALE_FACTOR)
-        sharded_cold_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = cons.consolidate(traffic, SCALE_FACTOR)
-        sharded_s = time.perf_counter() - t0
-        if result_digest(warm) != result_digest(cold):
-            raise AssertionError(
-                f"sharded engine is not deterministic across repeats "
-                f"(shards={n_shards}, jobs={jobs})"
-            )
-        if n_shards == 1 and result_digest(cold) != ref_digest:
-            raise AssertionError(
-                "shards=1 sharded result diverged from the indexed engine "
-                "(bit-identity contract)"
-            )
-        stats = cons.last_sharded_stats
-        drift = (
-            cold.objective_watts - reference.objective_watts
-        ) / max(reference.objective_watts, 1e-12)
-        points.append(
-            {
-                "shards": n_shards,
-                "jobs": jobs,
-                "sharded_cold_s": sharded_cold_s,
-                "sharded_s": sharded_s,
-                "speedup_cold": cold_full_s / sharded_cold_s,
-                "speedup": cold_full_s / sharded_s,
-                "speedup_warm": warm_full_s / sharded_s,
-                "objective_drift": drift,
-                "digest_matches_indexed": n_shards == 1,
-                "n_interpod": stats.n_interpod,
-                "n_intrapod": stats.n_intrapod,
-                "n_spilled": stats.n_spilled,
-                "n_rescued": stats.n_rescued,
-            }
-        )
-        print(
-            f"    sharded s={n_shards} j={jobs}: cold={sharded_cold_s:7.2f}s "
-            f"warm={sharded_s:7.2f}s speedup={cold_full_s / sharded_s:4.1f}x "
-            f"(cold {cold_full_s / sharded_cold_s:4.1f}x) drift={drift:+.3f}"
-        )
-    shutdown_shard_pool()
+    if result_digest(warm) != result_digest(cold):
+        raise AssertionError("warm full solve diverged from the cold one")
+    print(f"    cold={cold_full_s:7.2f}s warm={warm_full_s:7.2f}s")
     return {
         "n_flows": len(traffic),
         "cold_full_s": cold_full_s,
         "warm_full_s": warm_full_s,
-        "drift_bound": 0.5,
-        "points": points,
     }
 
 
@@ -306,8 +238,7 @@ def scale_traffic_k48(
     return ft, TrafficSet(flows)
 
 
-def bench_arity(k: int, churn_rates, n_epochs: int, engine: str = "indexed",
-                shards_list=(1, 2, 4, 8), jobs=None) -> dict:
+def bench_arity(k: int, churn_rates, n_epochs: int) -> dict:
     row: dict = {"k": k, "n_hosts": FatTree(k).n_hosts, "points": []}
     for rate in churn_rates:
         ft, epochs = epoch_traffic(k, rate, n_epochs)
@@ -320,11 +251,24 @@ def bench_arity(k: int, churn_rates, n_epochs: int, engine: str = "indexed",
             f"(churned~{point['mean_churned_flows']:.0f}/{point['n_flows']} flows, "
             f"{point['delta_epoch_fraction']:.0%} delta epochs)"
         )
-    if engine == "sharded":
-        ft, epochs = epoch_traffic(k, churn_rates[0], 1)
-        print(f"  k={k} sharded cold-solve scaling:")
-        row["sharded"] = bench_sharded(ft, epochs[0], shards_list, jobs)
+    ft, epochs = epoch_traffic(k, churn_rates[0], 1)
+    print(f"  k={k} indexed full solve:")
+    row["full_solve"] = bench_full_solve(ft, epochs[0])
     return row
+
+
+def host_description() -> str:
+    """CPU model and count of the machine the numbers were taken on."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return f"{model}, {os.cpu_count()} logical CPUs, {platform.system()}"
 
 
 def main(argv=None) -> None:
@@ -336,21 +280,8 @@ def main(argv=None) -> None:
         "--quick", action="store_true", help="CI smoke: k=8 only, 8 epochs"
     )
     parser.add_argument(
-        "--engine", choices=("indexed", "sharded"), default="indexed",
-        help="'sharded' adds the per-arity cold-solve scaling block "
-        "(cold_full_s vs sharded_s per shard count, shards=1 digest assert)",
-    )
-    parser.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 2, 4, 8],
-        help="shard counts for the sharded scaling block",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker-pool size for the sharded block (default: one per shard)",
-    )
-    parser.add_argument(
         "--k48", action="store_true",
-        help="append a k=48 cold-only sharded row (bounded-pair traffic, "
+        help="append a k=48 full-solve-only row (bounded-pair traffic, "
         "10^5 flows; slow)",
     )
     parser.add_argument("--out", default="BENCH_control.json")
@@ -358,28 +289,21 @@ def main(argv=None) -> None:
     if args.quick:
         args.k = [8]
         args.epochs = 8
-        args.shards = [s for s in args.shards if s <= 4]
 
     results = []
     for k in args.k:
         print(f"k={k}:")
-        results.append(
-            bench_arity(
-                k, args.churn, args.epochs,
-                engine=args.engine, shards_list=args.shards, jobs=args.jobs,
-            )
-        )
+        results.append(bench_arity(k, args.churn, args.epochs))
 
     if args.k48:
-        print("k=48 (cold-only, bounded-pair):")
+        print("k=48 (full solve only, bounded-pair):")
         ft48, traffic48 = scale_traffic_k48()
         results.append(
             {
                 "k": 48,
                 "n_hosts": ft48.n_hosts,
-                "cold_only": True,
                 "points": [],
-                "sharded": bench_sharded(ft48, traffic48, args.shards, args.jobs),
+                "full_solve": bench_full_solve(ft48, traffic48),
             }
         )
 
@@ -389,6 +313,7 @@ def main(argv=None) -> None:
         "background_utilization": BACKGROUND_UTILIZATION,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "host": host_description(),
         "results": results,
     }
     with open(args.out, "w") as fh:

@@ -475,8 +475,8 @@ class SdnController:
         still carry the load that was actually seen.
         """
         observed = self.monitor.observed_traffic(offered_traffic)
-        # The replay model only distinguishes indexed vs reference; the
-        # sharded solve engine replays through the indexed model.
+        # Consolidators without an engine choice replay through the
+        # indexed model.
         cons_engine = getattr(self.consolidator, "engine", "indexed")
         model = NetworkModel(
             self.consolidator.topology,

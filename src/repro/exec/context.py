@@ -48,8 +48,8 @@ class ExecContext:
         reproduce the historical single-shot, unbounded behaviour.
     shm:
         Whether parallel sweeps use the zero-pickle shared-memory
-        fabric (:mod:`repro.exec.shm`): the parent publishes compiled
-        topology indexes / VP tables / trace arrays and pool workers
+        fabric (:mod:`repro.exec.shm`): the parent publishes VP
+        tables / trace arrays and pool workers
         attach by content key instead of rebuilding them.  ``False``
         (the CLI's ``--no-shm``) is the bit-identical reference mode.
     batch:

@@ -37,8 +37,8 @@ Two fabric optimizations are on by default and value-transparent:
 * **pool-initializer hoisting + shm attach** — workers set up their
   ambient context, cache handle and op registry **once** per process
   (not per task), and attach the parent's published shared-memory
-  artifacts (:mod:`repro.exec.shm`) so compiled topology indexes and
-  VP tables are mapped, not rebuilt; ``ctx.shm=False`` reverts to
+  artifacts (:mod:`repro.exec.shm`) so VP tables and trace arrays
+  are mapped, not rebuilt; ``ctx.shm=False`` reverts to
   rebuild-from-spec.
 * **batch fusion** — cache-missing tasks of a batchable op
   (:func:`~repro.exec.registry.register_batchable`) that agree on

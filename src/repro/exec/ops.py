@@ -114,8 +114,6 @@ def consolidate_op(
     scale_factor: float = 1.0,
     best_effort: bool = False,
     engine: str = "indexed",
-    shards: int = 4,
-    shard_jobs: int | None = None,
 ):
     """Solve one consolidation instance.
 
@@ -127,11 +125,10 @@ def consolidate_op(
       ``scale_factor``;
     * ``"elastictree"`` — bandwidth-only baseline.
 
-    ``engine`` selects the greedy solve engine (``"indexed"``,
-    ``"reference"``, or ``"sharded"`` — the pod-sharded parallel full
-    solve, with ``shards`` / ``shard_jobs`` sizing it).  Callers keep
-    it out of the spec when it is ``"indexed"`` so cached results stay
-    addressable under their historical keys.
+    ``engine`` selects the greedy solve engine (``"indexed"`` or
+    ``"reference"``).  Callers keep it out of the spec when it is
+    ``"indexed"`` so cached results stay addressable under their
+    historical keys.
 
     Raises :class:`~repro.errors.InfeasibleError` when the instance
     cannot be packed — the executor records that as a legitimate
@@ -143,9 +140,7 @@ def consolidate_op(
         subnet = aggregation_policy(workload.topology, level)
         return route_on_subnet(subnet, traffic)
     if scheme == "greedy":
-        consolidator = GreedyConsolidator(
-            workload.topology, engine=engine, shards=shards, shard_jobs=shard_jobs
-        )
+        consolidator = GreedyConsolidator(workload.topology, engine=engine)
         return consolidator.consolidate(traffic, scale_factor, best_effort_scale=best_effort)
     if scheme == "elastictree":
         consolidator = ElasticTreeConsolidator(workload.topology)
@@ -537,7 +532,6 @@ def joint_eval_op(
     governor: str,
     params: JointSimParams,
     traffic_seed: int,
-    consolidation_engine: str = "indexed",
 ) -> JointEvaluation:
     """Price one (aggregation level, load, governor) operating point
     end to end — the Fig. 13 / datacenter-scale unit of work.
@@ -545,20 +539,12 @@ def joint_eval_op(
     The consolidation solve goes through the shared cache, so the eight
     constraint points of one fig13 background level all reuse a single
     routing, as does any other figure at the same traffic spec.
-
-    ``consolidation_engine`` forwards to the consolidate op (and into
-    its cache key) only when it is not ``"indexed"`` — drivers likewise
-    keep the default out of the task spec, so historical cache entries
-    and the fused batch grouping are untouched.
     """
     workload = workload_for(arity, constraint_ms)
-    spec = dict(
+    consolidation = _cached_consolidation(
         arity=arity, scheme="aggregation", level=level,
         background=background, traffic_seed=traffic_seed,
     )
-    if consolidation_engine != "indexed":
-        spec["engine"] = consolidation_engine
-    consolidation = _cached_consolidation(**spec)
     traffic = workload.traffic(background, seed_or_rng=traffic_seed)
     return evaluate_operating_point(
         workload,
@@ -750,30 +736,20 @@ def publish_joint_artifacts(
     """Parent-side prewarm + publish for joint sweeps (fig13 /
     datacenter-scale drivers call this before fanning out).
 
-    Warms the full-topology index with the path sets of every flow the
-    sweep's traffic will route (aggregation subnets restrict via path
-    masks over the *same* index, so one warm covers every level), seeds
-    the idle-head VP table stack, and publishes both to the shared-
-    memory store.  Workers then attach instead of re-deriving.  Pure
-    prewarm: no publication changes any computed value.
+    Seeds the idle-head VP table stack and publishes it to the shared-
+    memory store, so workers attach instead of re-deriving it.  Path
+    sets are not shared: a worker compiles the ones it routes in closed
+    form (see :mod:`repro.netfast.index`), which is cheaper than an
+    attach.  ``backgrounds`` and ``traffic_seed`` name the sweep's
+    traffic and are kept for call compatibility.  Pure prewarm: no
+    publication changes any computed value.
     """
-    from ..netfast.index import publish_shared_index, topology_index
     from ..simfast.tables import publish_shared_tables, shared_table_engine
 
     workload = workload_for(arity)
-    index = topology_index(workload.topology)
-    for bg in backgrounds:
-        traffic = workload.traffic(bg, seed_or_rng=traffic_seed)
-        for flow in traffic:
-            index.path_set(flow.src, flow.dst)
-    manifests = []
-    manifest = publish_shared_index(index)
-    if manifest is not None:
-        manifests.append(manifest)
     engine = shared_table_engine(workload.service_model, XEON_LADDER)
     engine.stack(None, table_k_max)
-    manifests.extend(publish_shared_tables())
-    return manifests
+    return publish_shared_tables()
 
 
 # -- network latency summaries -----------------------------------------------------

@@ -1,13 +1,11 @@
 """Zero-pickle shared-memory artifact store (the sweep fabric's heap).
 
 Sweep workers rebuild, per process, the same large read-only artifacts
-the parent (or the first worker) already derived: compiled
-:class:`~repro.netfast.index.TopologyIndex` path-set matrices, the
-:class:`~repro.simfast.tables.VPTableEngine` CCDF table stacks, and
+the parent (or the first worker) already derived: the
+:class:`~repro.simfast.tables.VPTableEngine` CCDF table stacks and
 workload trace arrays.  Those artifacts are pure functions of content
-that already has a fingerprint (``Topology.fingerprint``, the simfast
-``_fingerprint``, a trace digest) — which makes them shareable by key
-rather than by pickle.
+that already has a fingerprint (the simfast ``_fingerprint``, a trace
+digest) — which makes them shareable by key rather than by pickle.
 
 :class:`SharedArtifactStore` places each artifact's numpy arrays into
 one ``multiprocessing.shared_memory`` segment and describes the layout
@@ -16,9 +14,8 @@ plus a small ``meta`` payload).  The parent publishes before a pool
 spins up; the executor passes the manifests to every worker's pool
 initializer, which attaches the segments and hands the arrays — as
 zero-copy, read-only views — to the owning subsystem's restorer
-(``repro.netfast.index`` / ``repro.simfast.tables`` /
-``repro.workloads.traceio`` each export a module-level
-``_shm_restore``).  Workers therefore never receive rebuilt or pickled
+(``repro.simfast.tables`` and ``repro.workloads.traceio`` each
+export a module-level ``_shm_restore``).  Workers therefore never receive rebuilt or pickled
 copies of the big matrices; they map the parent's pages.
 
 Lifecycle is refcounted and crash-safe:
@@ -72,7 +69,6 @@ _ALIGN = 64
 #: lazily on attach (the same late-import idiom as the task registry),
 #: so the store itself depends on no simulator code.
 _RESTORER_MODULES = {
-    "topology-index": "repro.netfast.index",
     "vp-tables": "repro.simfast.tables",
     "trace": "repro.workloads.traceio",
 }

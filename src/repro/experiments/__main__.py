@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-shm",
         action="store_true",
         help="disable the shared-memory artifact fabric (workers rebuild "
-        "topology indexes / VP tables from spec; bit-identical reference mode)",
+        "VP tables from spec; bit-identical reference mode)",
     )
     parser.add_argument(
         "--no-batch",

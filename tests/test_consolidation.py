@@ -11,7 +11,7 @@ from repro.consolidation import (
 from repro.consolidation.base import link_reservation
 from repro.errors import InfeasibleError
 from repro.flows import Flow, FlowClass, TrafficSet, combined_traffic, search_flows
-from repro.topology import aggregation_policy
+from repro.topology import FatTree, aggregation_policy
 from repro.units import MBPS
 
 
@@ -178,3 +178,40 @@ class TestSearchFlowsKExample:
         # 900 Mbps elephant on any switch-switch link (950 usable).
         assert not shares_core_links(res3, "blue")
         assert not shares_core_links(res3, "green")
+
+
+class TestBoundedCaches:
+    """Regression: the per-pair path caches must stay bounded (they
+    used to grow one entry per distinct (src, dst) forever)."""
+
+    def test_pair_cache_evicts(self):
+        ft8 = FatTree(8)
+        cons = GreedyConsolidator(ft8, pair_cache_max=8)
+        hosts = list(ft8.hosts)
+        # a first solve initializes the packing state the pair cache
+        # masks against
+        cons.consolidate(
+            TrafficSet([Flow("f0", hosts[0], hosts[1], 1 * MBPS,
+                             FlowClass.LATENCY_TOLERANT)]),
+            1.0,
+        )
+        for i in range(40):
+            cons._pair(hosts[i], hosts[(i + 17) % len(hosts)])
+        assert len(cons._pair_cache) <= 8
+
+    def test_reference_path_cache_evicts(self):
+        ft8 = FatTree(8)
+        cons = GreedyConsolidator(ft8, engine="reference", pair_cache_max=8)
+        hosts = list(ft8.hosts)
+        for i in range(40):
+            cons._allowed_paths(hosts[i], hosts[(i + 17) % len(hosts)])
+        assert len(cons._allowed_path_cache) <= 8
+
+    def test_engines_still_agree_under_tiny_cache(self, ft4):
+        traffic = combined_traffic(ft4, ft4.hosts[0], 0.2, seed_or_rng=1)
+        expected = GreedyConsolidator(ft4).consolidate(traffic, 2.0)
+        small = GreedyConsolidator(ft4, pair_cache_max=2).consolidate(traffic, 2.0)
+        assert sorted(small.routing.items()) == sorted(expected.routing.items())
+        assert small.subnet.switches_on == expected.subnet.switches_on
+        assert small.subnet.links_on == expected.subnet.links_on
+        assert small.objective_watts == expected.objective_watts

@@ -260,50 +260,6 @@ class TestWorkerCrashSafety:
 # -- subsystem restorers -------------------------------------------------------
 
 
-class TestTopologyIndexGraft:
-    def test_graft_matches_built_index(self, store):
-        from repro.netfast.index import (
-            clear_index_registry,
-            export_shared_index,
-            publish_shared_index,
-            topology_index,
-        )
-        from repro.topology.fattree import FatTree
-
-        topo = FatTree(4)
-        idx = topology_index(topo)
-        hosts = sorted(topo.hosts)
-        pairs = [(hosts[0], hosts[5]), (hosts[1], hosts[9]), (hosts[2], hosts[3])]
-        reference = {
-            pair: idx.path_set(*pair).node_paths for pair in pairs
-        }
-        manifest = publish_shared_index(idx, store=store)
-        assert manifest is not None
-        assert export_shared_index(idx) is not None
-
-        # A "worker": fresh registry, arrays restored from the segment.
-        clear_index_registry()
-        assert attach_manifests([manifest]) == 1
-        topo2 = FatTree(4)
-        idx2 = topology_index(topo2)
-        assert idx2 is not idx
-        for pair in pairs:
-            ps = idx2.path_set(*pair)
-            assert ps.node_paths == reference[pair]
-            assert not ps.dlinks.flags.writeable  # zero-copy shm view
-        # An un-published pair still builds from scratch transparently.
-        extra = idx2.path_set(hosts[4], hosts[11])
-        assert extra.n_paths > 0
-        clear_index_registry()
-
-    def test_cold_index_exports_nothing(self, store):
-        from repro.netfast.index import TopologyIndex, export_shared_index
-        from repro.topology.fattree import FatTree
-
-        idx = TopologyIndex(FatTree(4))
-        assert export_shared_index(idx) is None
-
-
 class TestVpTableSeed:
     def test_seeded_engine_matches_built_tables(self, store):
         from repro.exec.ops import workload_for

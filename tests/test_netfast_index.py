@@ -15,7 +15,7 @@ from repro.netsim.latency import (
     sample_pooled_path_delays,
 )
 from repro.topology.fattree import FatTree
-from repro.topology.paths import shortest_paths
+from repro.topology.paths import fat_tree_paths, shortest_paths
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ def test_path_set_matches_shortest_paths(ft4):
     src, dst = ft4.hosts[0], ft4.hosts[-1]
     ps = idx.path_set(src, dst)
     paths = shortest_paths(ft4, src, dst)
-    assert ps.node_paths == tuple(paths)
+    assert [ps.node_path(r) for r in range(ps.n_paths)] == paths
     assert ps.dlinks.shape == (len(paths), len(paths[0]) - 1)
     for r, path in enumerate(paths):
         for h, (u, v) in enumerate(zip(path[:-1], path[1:])):
@@ -123,6 +123,87 @@ def test_path_set_matches_shortest_paths(ft4):
     # First and last hops touch hosts; middle hops do not.
     assert ps.host_hop[:, 0].all() and ps.host_hop[:, -1].all()
     assert not ps.host_hop[:, 1:-1].any()
+
+
+def _assert_path_set_matches_oracle(idx, ft, src, dst):
+    """The index's matrices and node paths equal what enumerating
+    :func:`fat_tree_paths` and mapping every hop through the index's
+    name -> id dicts gives."""
+    ps = idx.path_set(src, dst)
+    paths = fat_tree_paths(ft, src, dst)
+    dlinks = np.array(
+        [[idx.dlink_id[(u, v)] for u, v in zip(p[:-1], p[1:])] for p in paths],
+        dtype=np.intp,
+    )
+    expected = {
+        "dlinks": dlinks,
+        "ulinks": dlinks // 2,
+        "switch_nodes": np.array(
+            [[idx.node_id[n] for n in p if ft.is_switch(n)] for p in paths],
+            dtype=np.intp,
+        ),
+        "host_hop": idx.dlink_touches_host[dlinks],
+    }
+    for name, want in expected.items():
+        got = getattr(ps, name)
+        assert got.shape == want.shape, (name, src, dst)
+        assert got.dtype == want.dtype, (name, src, dst)
+        assert np.array_equal(got, want), (name, src, dst)
+    assert [ps.node_path(r) for r in range(ps.n_paths)] == paths
+    assert not ps.host_hop.flags.writeable
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_closed_form_path_sets_match_oracle_all_pairs(k):
+    ft = FatTree(k)
+    idx = topology_index(ft)
+    for src in ft.hosts:
+        for dst in ft.hosts:
+            if src != dst:
+                _assert_path_set_matches_oracle(idx, ft, src, dst)
+
+
+def test_closed_form_path_sets_match_oracle_string_order():
+    """k=22 is the first arity whose agg/core string order ("a0_10" <
+    "a0_2") differs from numeric order; the leftmost contract follows
+    the string order of ``agg_switches_in_pod`` / ``cores_in_group``."""
+    ft = FatTree(22)
+    half = ft.k // 2
+    assert ft.agg_switches_in_pod(0) != tuple(ft.agg_name(0, i) for i in range(half))
+    assert ft.cores_in_group(0) != tuple(ft.core_name(0, i) for i in range(half))
+    idx = topology_index(ft)
+    rng = np.random.default_rng(22)
+    pairs = []
+    for _ in range(8):
+        pod, e1, e2 = rng.integers(ft.k), *rng.choice(half, 2, replace=False)
+        i, j = rng.choice(half, 2, replace=False)
+        pairs.append((ft.host_name(pod, e1, i), ft.host_name(pod, e1, j)))  # same edge
+        pairs.append((ft.host_name(pod, e1, i), ft.host_name(pod, e2, j)))  # same pod
+        p1, p2 = rng.choice(ft.k, 2, replace=False)
+        pairs.append((ft.host_name(p1, e1, i), ft.host_name(p2, e2, j)))  # inter-pod
+    for src, dst in pairs:
+        _assert_path_set_matches_oracle(idx, ft, src, dst)
+    # One read-only host-hop pattern per path shape, shared by pairs.
+    a, b = idx.path_set(*pairs[2]), idx.path_set(*pairs[5])
+    assert a.host_hop is b.host_hop
+
+
+def test_generic_topology_path_set_falls_back():
+    import networkx as nx
+
+    from repro.topology import NodeKind, Topology
+
+    g = nx.Graph()
+    for h in ("h1", "h2"):
+        g.add_node(h, kind=NodeKind.HOST)
+    for sw in ("s1", "s2", "s3"):
+        g.add_node(sw, kind=NodeKind.SWITCH)
+    for u, v in (("h1", "s1"), ("s1", "s2"), ("s1", "s3"), ("s2", "s3"), ("s3", "h2")):
+        g.add_edge(u, v, capacity=1e9)
+    topo = Topology(g)
+    ps = topology_index(topo).path_set("h1", "h2")
+    assert [ps.node_path(r) for r in range(ps.n_paths)] == shortest_paths(topo, "h1", "h2")
+    assert ps.dlinks.shape == (1, 3)
 
 
 def test_routing_matrix_round_trip(ft4):

@@ -1,11 +1,10 @@
-"""k=48 / ~10^5-flow scale test for the delta + shm control plane.
+"""k=48 / ~10^5-flow scale test for the delta control plane.
 
 ROADMAP item 1 names this scale as the remaining validation for the
 churn-proportional control plane: a k=48 fat tree (27 648 hosts) with
 ~10^5 background flows, consolidated by :class:`DeltaConsolidator`
 epochs, with ``diff_routings(unchanged=...)`` riding the engine's
-proven-unchanged ids, and the compiled topology index published and
-re-attached through the shared-memory fabric.
+proven-unchanged ids.
 
 The unconstrained version of this problem is intractable: ~10^5 flows
 over random host pairs is ~10^5 *distinct* pairs, each with (k/2)^2 =
@@ -27,14 +26,8 @@ import pytest
 from repro.consolidation import DeltaConsolidator
 from repro.consolidation.delta import MODE_DELTA, MODE_FULL
 from repro.control.rules import diff_routings
-from repro.exec.shm import SharedArtifactStore, attach_manifests, shutdown_shared_store
 from repro.flows.flow import Flow, FlowClass
 from repro.flows.traffic import TrafficSet
-from repro.netfast.index import (
-    clear_index_registry,
-    publish_shared_index,
-    topology_index,
-)
 from repro.topology.fattree import FatTree
 
 pytestmark = pytest.mark.slow
@@ -131,62 +124,3 @@ def test_rule_diff_with_unchanged_ids_is_identical_and_churn_sized(scale_run):
             assert len(naive.removed) == CHURN_PER_EPOCH
             assert len(naive.rerouted) <= 10 * CHURN_PER_EPOCH
         prev = res.routing
-
-
-def test_sharded_cold_solve_at_scale(scale_run):
-    """A sharded cold full solve of the same k=48 epoch: valid, every
-    flow placed, no residual underflow, and within a small factor of
-    the indexed cold solve (the delta fixture's epoch-0 full solve).
-
-    This workload is the sharded engine's worst case — ~250 flows per
-    distinct pair means path-set compilation amortizes away and the
-    solve is packing-bound, so no parallel speedup is expected here
-    (the speedup contract is benchmarked at k=32's high-distinct-pair
-    density by ``bench_control --engine sharded``).  What this pins is
-    that the engine stays correct and does not blow up at 27k hosts."""
-    from time import perf_counter
-
-    from repro.consolidation import GreedyConsolidator, shutdown_shard_pool
-
-    ft, epochs, stats = scale_run["ft"], scale_run["epochs"], scale_run["stats"]
-    cons = GreedyConsolidator(ft, engine="sharded", shards=4, shard_jobs=4)
-    try:
-        t0 = perf_counter()
-        result = cons.consolidate(epochs[0], SCALE_FACTOR)
-        elapsed = perf_counter() - t0
-    finally:
-        shutdown_shard_pool()
-    assert len(result.routing) == len(epochs[0])
-    assert float(cons._state.residual.min()) >= 0.0
-    st = cons.last_sharded_stats
-    assert st is not None and st.n_shards == 4 and st.jobs == 4
-    assert elapsed < stats[0].solve_time_s * 4.0
-
-
-def test_topology_index_publishes_and_grafts_through_shm(scale_run):
-    ft, pairs = scale_run["ft"], scale_run["pairs"]
-    idx = topology_index(ft)
-    sample = pairs[:5]
-    reference = {pair: idx.path_set(*pair).node_paths for pair in sample}
-    assert all(len(paths) == (K // 2) ** 2 for paths in reference.values())
-
-    store = SharedArtifactStore()
-    try:
-        manifest = publish_shared_index(idx, store=store)
-        assert manifest is not None
-
-        # A "worker": fresh registry, arrays restored from the segment.
-        clear_index_registry()
-        assert attach_manifests([manifest]) == 1
-        idx2 = topology_index(FatTree(K))
-        assert idx2 is not idx
-        for pair in sample:
-            ps = idx2.path_set(*pair)
-            assert ps.node_paths == reference[pair]
-            assert not ps.dlinks.flags.writeable  # zero-copy shm view
-    finally:
-        # Drop every reference into the segments before unlinking them,
-        # so no later test can touch a closed mapping.
-        clear_index_registry()
-        shutdown_shared_store()
-        store.unlink_all()
