@@ -1,6 +1,6 @@
 """Benchmark: zero-pickle shm fabric + fused batch dispatch for joint sweeps.
 
-Times the two joint-sweep experiment drivers end to end at ``--jobs 8``
+Times the two joint-sweep experiment drivers end to end (``--jobs``, default 8)
 in two executor configurations:
 
 * **reference** — ``shm=False, batch=False``: every sweep point is an
@@ -14,14 +14,12 @@ in two executor configurations:
   are fused into one batch call that hoists the consolidation solve
   and traffic build out of the per-point loop.
 
-A third configuration — **fabric + multipoint** — keeps the fused
-dispatch but runs each fused batch's whole constraint grid as one
-lockstep :func:`repro.simfast.run_multipoint_simulation` pass
-(``server_engine="multipoint"``), attacking the DES floor itself; its
-row reports ``des_speedup_vs_fabric`` (same overheads, only the DES
-changes) alongside the reference comparison.
+The fabric mode also changes the DES: a fused batch runs each
+utilization's whole (constraint, governor) grid as one lockstep
+:func:`repro.simfast.run_multipoint_simulation` pass, while the
+reference mode replays one tabulated event loop per point.
 
-All configurations must produce **bit-identical** experiment rows —
+Both configurations must produce **bit-identical** experiment rows —
 asserted here over a SHA-256 of every row of both figures; the fabric
 only ever skips recomputation of content-identical data.  Reference
 runs are timed *before* any fabric run so forked workers cannot
@@ -29,25 +27,26 @@ inherit warm parent-side registries.
 
 Honest accounting (Amdahl): a joint sweep is fabric overhead (task
 dispatch, worker artifact rebuilds, redundant per-point consolidation
-solves) *plus* the per-point DES simulations, which are irreducible
-per point and identical in both modes.  At the paper-default 15 s
-simulation windows the sweep is DES-bound, so whole-driver wall-clock
-gains are bounded no matter how good the fabric is.  This benchmark
-therefore reports, per experiment:
+solves) *plus* the DES simulations.  At the paper-default 15 s
+simulation windows the sweep is DES-bound, so the whole-driver gain
+comes mostly from the lockstep DES.  This benchmark therefore reports,
+per experiment:
 
 * whole-driver wall-clock in both modes at the **paper-default** grid,
 * the same at a **fine-grain** grid (1 s windows — the online
   evaluation regime the fabric targets),
-* the inline **DES floor** (the same simulations run hoisted and
-  serial, no dispatch at all) and the derived **fabric-overhead
-  speedup** = (reference − floor) / (fabric − floor),
+* the inline **DES floors** of each mode at the fine-grain grid (the
+  same simulations run hoisted and serial, no dispatch at all:
+  per-point scalar loops vs one lockstep pass per fused group).  They
+  are serial, so they bound the drivers' wall-clock only on one core,
 * structural fabric metrics: fused dispatch units vs scalar tasks,
   and per-worker artifact attach vs rebuild time.
 
 The persistent result cache is disabled throughout: the benchmark
 measures computation, not disk reads.  The fabric total *includes* the
 parent-side prewarm/publish (timed explicitly, reported as
-``prewarm_s``) — the speedup is work deduplication, not deferral.
+``prewarm_s``) — the speedup is work deduplication (shared solves,
+one event pass per fused group), not deferral.
 
 Run as a module (repository root on ``sys.path``, ``src`` on
 ``PYTHONPATH``)::
@@ -61,16 +60,21 @@ Emits ``BENCH_joint.json``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import platform
 import time
 
-from repro.core.joint import JointSimParams, evaluate_operating_point
+from repro.core.joint import (
+    JointSimParams,
+    evaluate_operating_point,
+    evaluate_operating_points,
+)
 from repro.exec import ExecContext, shutdown_shared_store, use_context
 from repro.exec.executor import _fuse_round
 from repro.experiments import datacenter_scale, fig13_joint_power
+
+from benchmarks.bench_control import host_description
 
 JOBS = 8
 SEED = 1
@@ -144,45 +148,64 @@ def measure_prewarm(name: str, spec: dict) -> float:
     return time.perf_counter() - t0
 
 
-def measure_des_floor() -> tuple[float, int]:
+def measure_des_floors() -> dict:
     """The fig13 fine-grain simulations run hoisted, serial and inline:
-    no pool, no dispatch, consolidation/traffic solved once per group.
-    This is the irreducible DES cost both executor modes must pay."""
+    no pool, no dispatch, consolidation/traffic solved once per group
+    outside the timers.  ``scalar_s`` replays one tabulated event loop
+    per point (the reference mode's DES cost); ``lockstep_s`` prices
+    each fused group in one :func:`evaluate_operating_points` pass (the
+    fabric mode's DES cost)."""
+    from repro.errors import InfeasibleError
     from repro.exec.ops import _cached_consolidation, governor_factory, workload_for
     from repro.topology import AGGREGATION_LEVELS
 
+    utilization = 0.3
     with use_context(ExecContext(jobs=1, **REFERENCE_CTX)):
-        workload = workload_for(4)
+        base = workload_for(4)
+        groups = []  # (consolidation, traffic, [(workload, governor)])
         for bg in fig13_joint_power.DEFAULT_BACKGROUNDS:
-            workload.traffic(bg, seed_or_rng=SEED)  # warm outside the timer
-
-        t0 = time.perf_counter()
-        n = 0
-        for bg in fig13_joint_power.DEFAULT_BACKGROUNDS:
-            for level, gov in [(lvl, "eprons-server") for lvl in AGGREGATION_LEVELS] + [
-                (0, "no-pm")
-            ]:
+            traffic = base.traffic(bg, seed_or_rng=SEED)
+            for level in AGGREGATION_LEVELS:
                 try:
                     cons = _cached_consolidation(
                         arity=4, scheme="aggregation", level=level,
                         background=bg, traffic_seed=SEED,
                     )
-                except Exception:
+                except InfeasibleError:
                     continue  # infeasible group — the drivers skip these too
-                traffic = None
-                for L_ms in fig13_joint_power.DEFAULT_CONSTRAINTS_MS:
-                    w = workload_for(4, L_ms)
-                    if traffic is None:
-                        traffic = w.traffic(bg, seed_or_rng=SEED)
-                    try:
-                        evaluate_operating_point(
-                            w, traffic, cons, 0.3,
-                            governor_factory(gov, w), params=FINE_PARAMS,
-                        )
-                        n += 1
-                    except Exception:
-                        pass
-        return time.perf_counter() - t0, n
+                govs = ("eprons-server", "no-pm") if level == 0 else ("eprons-server",)
+                members = [
+                    (workload_for(4, L_ms), gov)
+                    for L_ms in fig13_joint_power.DEFAULT_CONSTRAINTS_MS
+                    for gov in govs
+                ]
+                groups.append((cons, traffic, members))
+
+        t0 = time.perf_counter()
+        for cons, traffic, members in groups:
+            for w, gov in members:
+                evaluate_operating_point(
+                    w, traffic, cons, utilization,
+                    governor_factory(gov, w), params=FINE_PARAMS,
+                )
+        scalar_s = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        for cons, traffic, members in groups:
+            evaluate_operating_points(
+                base, traffic, cons,
+                [
+                    (w.latency_constraint_s, utilization, governor_factory(gov, w), None)
+                    for w, gov in members
+                ],
+                params=FINE_PARAMS,
+            )
+        lockstep_s = time.perf_counter() - t0
+    return {
+        "scalar_s": scalar_s,
+        "lockstep_s": lockstep_s,
+        "points": sum(len(members) for _, _, members in groups),
+    }
 
 
 def dispatch_counts() -> dict:
@@ -285,7 +308,6 @@ def main(argv=None) -> None:
     # Phase 2: fabric runs (the drivers publish artifacts themselves;
     # we time an explicit prewarm and fold it into the fabric total).
     rows = []
-    fabric_totals: dict[tuple, float] = {}
     try:
         for name, grid, run_fn, spec in grid_rows:
             prewarm_s = measure_prewarm(name, spec)
@@ -316,81 +338,23 @@ def main(argv=None) -> None:
                 f"digest ok)"
             )
             rows.append(row)
-            fabric_totals[(name, grid)] = fabric_s
-
-        # Phase 2.5: fabric + lockstep multipoint DES.  Same fused
-        # dispatch, but each fused batch hands its whole constraint
-        # grid to one run_multipoint_simulation pass instead of a
-        # per-point tabulated loop — this is the DES-side reduction on
-        # top of the fabric's dispatch-side one, so it is compared
-        # against the fabric mode (both warm, identical overheads).
-        for name, grid, run_fn, spec in grid_rows:
-            mp_spec = dict(spec)
-            if "params" in mp_spec:
-                mp_spec["params"] = dataclasses.replace(
-                    mp_spec["params"], server_engine="multipoint"
-                )
-            else:
-                mp_spec["server_engine"] = "multipoint"
-            prewarm_s = measure_prewarm(name, spec)
-            result, run_s = run_mode(run_fn, mp_spec, FABRIC_CTX, args.jobs)
-            mp_s = prewarm_s + run_s
-            digest, n_rows, ref_s = reference[(name, grid)]
-            mp_digest = rows_digest(result)
-            if mp_digest != digest:
-                raise AssertionError(
-                    f"{name}/{grid}: multipoint rows diverged from the "
-                    f"reference mode ({mp_digest[:16]} != {digest[:16]}) — "
-                    "the lockstep engine must be bit-identical"
-                )
-            fabric_s = fabric_totals[(name, grid)]
-            row = {
-                "experiment": name,
-                "grid": grid,
-                "engine": "multipoint",
-                "n_rows": n_rows,
-                "reference_s": ref_s,
-                "fabric_s": fabric_s,
-                "multipoint_s": mp_s,
-                "prewarm_s": prewarm_s,
-                "speedup_vs_reference": ref_s / mp_s,
-                "des_speedup_vs_fabric": fabric_s / mp_s,
-                "rows_digest": digest,
-                "bit_identical": True,
-            }
-            print(
-                f"{name}/{grid}: multipoint{mp_s:7.2f}s  "
-                f"(vs fabric {row['des_speedup_vs_fabric']:.2f}x, "
-                f"vs reference {row['speedup_vs_reference']:.2f}x, digest ok)"
-            )
-            rows.append(row)
 
         # Phase 3 (strictly after every timed run — measuring the floor
         # inline warms the parent's in-process memo, and forked workers
         # would inherit it and corrupt the fabric timings):
         if not args.quick:
-            floor_s, floor_n = measure_des_floor()
-            fabric_metrics["fig13_fine_grain_des_floor_s"] = floor_s
-            fabric_metrics["fig13_fine_grain_des_floor_points"] = floor_n
+            floors = measure_des_floors()
+            fabric_metrics["fig13_fine_grain_des_floor"] = floors
             warmup = measure_worker_warmup()
             fabric_metrics["worker_warmup"] = warmup
             print(
                 f"structural: {fabric_metrics['fig13_tasks']} tasks -> "
                 f"{fabric_metrics['fig13_dispatches_fused']} fused dispatches; "
-                f"DES floor {floor_s:.2f}s/{floor_n} sims; "
+                f"DES floor {floors['scalar_s']:.2f}s scalar vs "
+                f"{floors['lockstep_s']:.2f}s lockstep / {floors['points']} sims; "
                 f"worker warmup rebuild {warmup['rebuild_s'] * 1e3:.1f}ms vs "
                 f"attach {warmup['attach_s'] * 1e3:.1f}ms"
             )
-            for row in rows:
-                if "engine" in row:
-                    continue  # floor split applies to the fabric-mode row
-                if row["experiment"] == "fig13" and row["grid"] == "fine-grain":
-                    row["des_floor_s"] = floor_s
-                    row["overhead_reference_s"] = max(0.0, row["reference_s"] - floor_s)
-                    row["overhead_fabric_s"] = max(1e-9, row["fabric_s"] - floor_s)
-                    row["overhead_speedup"] = (
-                        row["overhead_reference_s"] / row["overhead_fabric_s"]
-                    )
     finally:
         shutdown_shared_store()
 
@@ -400,6 +364,7 @@ def main(argv=None) -> None:
         "quick": args.quick,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "host": host_description(),
         "fabric_metrics": fabric_metrics,
         "results": rows,
     }
@@ -414,8 +379,7 @@ def main(argv=None) -> None:
                 print(
                     f"NOTE: {row['experiment']}/{row['grid']} wall-clock "
                     f"speedup {row['speedup']:.1f}x < 5x — the sweep is "
-                    "DES-bound at this grid (see des_floor_s); the fabric "
-                    "can only remove dispatch/rebuild/solve overhead"
+                    "DES-bound at this grid (see fig13_fine_grain_des_floor)"
                 )
 
 

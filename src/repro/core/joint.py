@@ -50,11 +50,10 @@ class JointSimParams:
 
     ``server_engine`` forces the governor decision engine of the
     embedded server simulation (``"tabulated"`` — the
-    :mod:`repro.simfast` fast path — ``"reference"``, or
-    ``"multipoint"`` — the lockstep multi-point engine, bit-identical
-    to ``"tabulated"`` and batchable across grid points through
-    :func:`evaluate_operating_points`); ``None`` keeps each governor's
-    own default.
+    :mod:`repro.simfast` fast path — or ``"reference"``); ``None``
+    keeps each governor's own default.  Fused sweep batches price
+    their points through the lockstep :func:`evaluate_operating_points`
+    (bit-identical to ``"tabulated"``) unless it is ``"reference"``.
     """
 
     n_servers: int = 16
@@ -71,7 +70,7 @@ class JointSimParams:
             raise ConfigurationError("server/core counts must be positive")
         if not 0.0 <= self.warmup_s < self.duration_s:
             raise ConfigurationError("need 0 <= warmup < duration")
-        if self.server_engine not in (None, "tabulated", "reference", "multipoint"):
+        if self.server_engine not in (None, "tabulated", "reference"):
             raise ConfigurationError(
                 f"unknown server engine {self.server_engine!r}"
             )

@@ -513,6 +513,11 @@ def run_sweep(
         pending = misses
         descoped: set[int] = set()
         attempt = 0
+        if ctx.batch:
+            # Batchable specs register when their op module imports;
+            # load them so fusion never depends on what the caller
+            # happened to import first.
+            preload_ops()
         while pending:
             if ctx.batch:
                 units = _fuse_round(tasks, pending, descoped)

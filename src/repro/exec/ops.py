@@ -23,7 +23,7 @@ from ..consolidation.heuristic import GreedyConsolidator, route_on_subnet
 from ..control.controller import SdnController
 from ..control.latency_monitor import LatencyMonitor
 from ..core.joint import JointEvaluation, JointSimParams, evaluate_operating_point
-from ..errors import ConfigurationError, InfeasibleError
+from ..errors import ConfigurationError, InfeasibleError, ReproError
 from ..faults import FaultInjector, FaultSchedule
 from ..netsim.network import NetworkModel
 from ..policies.eprons_server import EpronsServerGovernor
@@ -583,7 +583,11 @@ def joint_eval_batch_op(
     once for the whole grid — the latency constraint affects neither
     (``SearchWorkload.traffic`` ignores it, and ``with_constraint`` is
     a field replace on the same topology/service model), so every point
-    value is bit-identical to its scalar twin.
+    value is bit-identical to its scalar twin.  The DES is hoisted too:
+    the pending points of one utilization run as one lockstep
+    :func:`~repro.core.joint.evaluate_operating_points` pass, which is
+    bit-identical to the scalar op's per-point tabulated runs; only
+    ``params.server_engine == "reference"`` keeps the per-point loop.
 
     Returns one executor payload dict per point, aligned with
     ``points``.  Cache entries are written under each point's *scalar*
@@ -636,12 +640,14 @@ def joint_eval_batch_op(
     base = workload_for(arity)
     traffic = base.traffic(background, seed_or_rng=traffic_seed)
 
-    if params.server_engine == "multipoint" and len(todo) > 1:
-        # Lockstep fast path: all pending points of one utilization run
+    if params.server_engine != "reference" and len(todo) > 1:
+        # Lockstep path: all pending points of one utilization run
         # through a single multi-point DES pass (bit-identical per point
-        # — the engine's equivalence contract).  A failing subgroup
-        # falls through to the scalar loop below, which deals with
-        # per-point errors exactly as before.
+        # — the engine's equivalence contract).  A subgroup that raises
+        # a typed model error falls through to the scalar loop below,
+        # which classifies it per point; any other exception is an
+        # engine bug and fails the whole batch, which the executor
+        # counts and retries member by member.
         from ..core.joint import evaluate_operating_points
 
         by_util: dict[float, list[int]] = {}
@@ -666,8 +672,9 @@ def joint_eval_batch_op(
                 evals = evaluate_operating_points(
                     base, traffic, consolidation, group_points, params=params
                 )
-            except Exception:  # noqa: BLE001 — scalar retry classifies
-                # the failure per point (infeasible vs error payload).
+            except ReproError:
+                # The scalar retry classifies the failure per point
+                # (infeasible vs error payload).
                 remaining.extend(idxs)
                 continue
             amortized = (perf_counter() - start) / len(idxs)

@@ -158,7 +158,9 @@ def main(argv: list[str]) -> int:
             if args.save is not None:
                 path = save_result(r, args.save)
                 print(f"[saved {path}]")
-        print(f"[{name} completed in {time.time() - t0:.1f}s]")
+        # Timing goes to stderr so stdout (the rows) is deterministic
+        # and two runs can be diffed byte for byte.
+        print(f"[{name} completed in {time.time() - t0:.1f}s]", file=sys.stderr)
     return 0
 
 

@@ -29,12 +29,9 @@ def build_tasks(
     utilization: float = 0.3,
     duration_s: float = 8.0,
     seed: int = 1,
-    server_engine: str | None = None,
 ) -> list[SweepTask]:
     """The datacenter-scale sweep grid as tasks (also used by
-    bench_joint to count fused dispatch units).  ``server_engine=
-    "multipoint"`` runs each arity's fused batch as one lockstep DES
-    pass (bit-identical per point)."""
+    bench_joint to count fused dispatch units)."""
     tasks = []
     for k in arities:
         ft = FatTree(k)
@@ -44,7 +41,6 @@ def build_tasks(
             duration_s=duration_s,
             warmup_s=min(2.0, duration_s / 4),
             seed=seed,
-            server_engine=server_engine,
         )
         for level in AGGREGATION_LEVELS:
             tasks.append(
@@ -84,7 +80,6 @@ def run(
     utilization: float = 0.3,
     duration_s: float = 8.0,
     seed: int = 1,
-    server_engine: str | None = None,
 ) -> ExperimentResult:
     result = ExperimentResult(
         figure="datacenter-scale",
@@ -107,7 +102,7 @@ def run(
     )
     trees = {k: FatTree(k) for k in arities}
     tasks = build_tasks(
-        arities, background, utilization, duration_s, seed, server_engine,
+        arities, background, utilization, duration_s, seed,
     )
 
     ctx = get_context()

@@ -233,12 +233,17 @@ class TestResumeAfterMidBatchKill:
 
 class TestJointEvalParity:
     """The production batchable op: fused and scalar paths must agree
-    bit for bit, and fused runs must warm the per-point scalar cache."""
+    bit for bit, and fused runs must warm the per-point scalar cache.
+    Fused groups run on the lockstep multi-point DES; the scalar op is
+    the per-point tabulated reference they are diffed against."""
 
-    def _joint_tasks(self):
+    #: Feasible (level) groups of ``_joint_tasks``, two constraints each.
+    N_GROUPS = 2
+
+    def _joint_tasks(self, **params_kw):
         from repro.core.joint import JointSimParams
 
-        params = JointSimParams(sim_cores=1, duration_s=2.0, warmup_s=0.5)
+        params = JointSimParams(sim_cores=1, duration_s=2.0, warmup_s=0.5, **params_kw)
         return [
             SweepTask.make(
                 "joint-eval",
@@ -255,32 +260,104 @@ class TestJointEvalParity:
             for level in (0, 3)
         ]
 
-    def test_fused_matches_scalar_and_warms_cache(self, tmp_path):
+    @pytest.fixture
+    def lockstep_calls(self, monkeypatch):
+        """Spy on the lockstep engine: one entry (utilization, n points)
+        per call."""
+        import repro.simfast.multipoint as multipoint
+
+        real = multipoint.run_multipoint_simulation
+        calls = []
+
+        def spy(service_model, points, *args, **kwargs):
+            calls.append(({p.config.utilization for p in points}, len(points)))
+            return real(service_model, points, *args, **kwargs)
+
+        monkeypatch.setattr(multipoint, "run_multipoint_simulation", spy)
+        return calls
+
+    @staticmethod
+    def _assert_same(outs_a, outs_b):
+        assert [o.status for o in outs_a] == [o.status for o in outs_b]
+        for a, b in zip(outs_a, outs_b):
+            if a.ok:
+                # The whole DES result, not just the summary numbers
+                # derived from it, then the fleet-scaled price.
+                assert a.unwrap().server_result == b.unwrap().server_result
+                assert a.unwrap().total_watts == b.unwrap().total_watts
+
+    def test_fused_matches_scalar_and_warms_cache(self, tmp_path, lockstep_calls):
         tasks = self._joint_tasks()
         fused_ctx = _ctx(tmp_path, cache=True, batch=True)
         cold = run_sweep(tasks, ctx=fused_ctx)
         assert not any(o.cached for o in cold)
+        assert all(o.ok for o in cold)
+        # One lockstep pass per fused (group, utilization), none per point.
+        assert lockstep_calls == [({0.3}, 2)] * self.N_GROUPS
 
         # Warm re-run under *scalar* dispatch: every point must be
         # served from the cache entries the batch op recorded.
         warm = run_sweep(tasks, ctx=_ctx(tmp_path, cache=True, batch=False))
         assert all(o.cached for o in warm)
-        for a, b in zip(cold, warm):
-            assert a.status == b.status
-            if a.ok:
-                assert a.unwrap().total_watts == b.unwrap().total_watts
-                assert a.unwrap().query_p95_s == b.unwrap().query_p95_s
+        self._assert_same(cold, warm)
 
-        # And a cold scalar run computes identical values.
+        # And a cold scalar run computes identical values, per-point
+        # tabulated, without touching the lockstep engine.
         scalar_ctx = _ctx(
             tmp_path, cache=True, cache_dir=str(tmp_path / "cache2"), batch=False
         )
         scalar = run_sweep(tasks, ctx=scalar_ctx)
-        for a, b in zip(cold, scalar):
-            assert a.status == b.status
-            if a.ok:
-                assert a.unwrap().total_watts == b.unwrap().total_watts
-                assert a.unwrap().violation_rate == b.unwrap().violation_rate
+        assert len(lockstep_calls) == self.N_GROUPS
+        self._assert_same(cold, scalar)
+
+    def test_reference_engine_keeps_the_per_point_loop(self, tmp_path, lockstep_calls):
+        tasks = self._joint_tasks(server_engine="reference")
+        fused = run_sweep(tasks, ctx=_ctx(tmp_path, batch=True))
+        scalar = run_sweep(tasks, ctx=_ctx(tmp_path, batch=False))
+        assert all(o.ok for o in fused)
+        assert lockstep_calls == []
+        self._assert_same(fused, scalar)
+
+    def test_engine_bug_fails_the_batch_and_retries_scalars(self, tmp_path, monkeypatch):
+        import repro.simfast.multipoint as multipoint
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("lockstep engine bug")
+
+        monkeypatch.setattr(multipoint, "run_multipoint_simulation", broken)
+        tasks = self._joint_tasks()
+        outs = run_sweep(
+            tasks, ctx=_ctx(tmp_path, batch=True), policy=RetryPolicy(max_retries=1)
+        )
+        assert all(o.ok and o.retries == 1 for o in outs)
+        self._assert_same(outs, run_sweep(tasks, ctx=_ctx(tmp_path, batch=False)))
+
+        # Without a retry budget the bug is a visible error, not a
+        # silently slower scalar rerun.
+        outs = run_sweep(tasks, ctx=_ctx(tmp_path, batch=True))
+        assert all(o.status == "error" for o in outs)
+        assert all("lockstep engine bug" in o.error for o in outs)
+
+    def test_typed_failure_is_classified_per_point_in_the_op(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.simfast.multipoint as multipoint
+        from repro.errors import ConfigurationError
+
+        calls = []
+
+        def refuses(*args, **kwargs):
+            calls.append(1)
+            raise ConfigurationError("lockstep cannot represent this group")
+
+        monkeypatch.setattr(multipoint, "run_multipoint_simulation", refuses)
+        tasks = self._joint_tasks()
+        outs = run_sweep(
+            tasks, ctx=_ctx(tmp_path, batch=True), policy=RetryPolicy(max_retries=1)
+        )
+        assert len(calls) == self.N_GROUPS
+        assert all(o.ok and o.retries == 0 for o in outs)
+        self._assert_same(outs, run_sweep(tasks, ctx=_ctx(tmp_path, batch=False)))
 
     def test_joint_eval_is_registered_batchable(self):
         import repro.exec.ops  # noqa: F401 — registers the spec
@@ -290,3 +367,40 @@ class TestJointEvalParity:
         assert spec.batch_fn == "joint-eval-batch"
         assert "constraint_ms" in spec.point and "governor" in spec.point
         assert "arity" in spec.shared and "params" in spec.shared
+
+
+def test_fusion_does_not_depend_on_importing_the_op_module():
+    """A fresh process that imports only ``repro.exec`` still fuses
+    joint-eval tasks: the executor loads the batchable specs itself."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from repro.core.joint import JointSimParams\n"
+        "from repro.exec import ExecContext, SweepTask, run_sweep\n"
+        "import repro.exec.executor as ex\n"
+        "assert 'repro.exec.ops' not in sys.modules\n"
+        "units = []\n"
+        "real = ex._run_round\n"
+        "def spy(tasks, us, *a, **k):\n"
+        "    units.extend(us)\n"
+        "    return real(tasks, us, *a, **k)\n"
+        "ex._run_round = spy\n"
+        "p = JointSimParams(sim_cores=1, duration_s=1.0, warmup_s=0.25)\n"
+        "tasks = [SweepTask.make('joint-eval', arity=4, constraint_ms=L,\n"
+        "    background=0.2, level=0, utilization=0.3,\n"
+        "    governor='eprons-server', params=p, traffic_seed=1)\n"
+        "    for L in (25.0, 40.0)]\n"
+        "outs = run_sweep(tasks, ctx=ExecContext(jobs=1, cache=False, batch=True))\n"
+        "assert all(o.ok for o in outs)\n"
+        "print(len(units), sum(u.fused for u in units))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "1"]
