@@ -1,4 +1,4 @@
-"""Benchmark: zero-pickle shm fabric + fused batch dispatch for joint sweeps.
+"""Benchmark: parent-side prewarm + fused batch dispatch for joint sweeps.
 
 Times the two joint-sweep experiment drivers end to end (``--jobs``, default 8)
 in two executor configurations:
@@ -7,12 +7,12 @@ in two executor configurations:
   independent scalar task; each pool worker rebuilds the VP tables
   from spec and re-solves the per-group consolidation its siblings
   already solved.
-* **fabric** — ``shm=True, batch=True``: the parent publishes the
-  compiled artifacts into ``multiprocessing.shared_memory`` once
-  (:func:`repro.exec.ops.publish_joint_artifacts`), workers attach by
-  content key, and cache-miss points that share (background, level, …)
-  are fused into one batch call that hoists the consolidation solve
-  and traffic build out of the per-point loop.
+* **fabric** — ``shm=True, batch=True``: the parent builds the VP
+  tables once before the pool forks
+  (:func:`repro.exec.ops.publish_joint_artifacts`), so every worker
+  inherits them warm, and cache-miss points that share (background,
+  level, …) are fused into one batch call that hoists the
+  consolidation solve and traffic build out of the per-point loop.
 
 The fabric mode also changes the DES: a fused batch runs each
 utilization's whole (constraint, governor) grid as one lockstep
@@ -40,11 +40,11 @@ per experiment:
   per-point scalar loops vs one lockstep pass per fused group).  They
   are serial, so they bound the drivers' wall-clock only on one core,
 * structural fabric metrics: fused dispatch units vs scalar tasks,
-  and per-worker artifact attach vs rebuild time.
+  and the per-worker VP-table rebuild time the prewarm saves.
 
 The persistent result cache is disabled throughout: the benchmark
 measures computation, not disk reads.  The fabric total *includes* the
-parent-side prewarm/publish (timed explicitly, reported as
+parent-side prewarm (timed explicitly, reported as
 ``prewarm_s``) — the speedup is work deduplication (shared solves,
 one event pass per fused group), not deferral.
 
@@ -70,7 +70,7 @@ from repro.core.joint import (
     evaluate_operating_point,
     evaluate_operating_points,
 )
-from repro.exec import ExecContext, shutdown_shared_store, use_context
+from repro.exec import ExecContext, use_context
 from repro.exec.executor import _fuse_round
 from repro.experiments import datacenter_scale, fig13_joint_power
 
@@ -132,7 +132,7 @@ def run_mode(run_fn, spec: dict, mode_kwargs: dict, jobs: int):
 
 
 def measure_prewarm(name: str, spec: dict) -> float:
-    """Parent-side prewarm + publish cost, timed explicitly and added
+    """Parent-side prewarm cost, timed explicitly and added
     into the fabric total so nothing escapes the stopwatch."""
     from repro.exec.ops import publish_joint_artifacts
 
@@ -223,16 +223,13 @@ def dispatch_counts() -> dict:
 
 
 def measure_worker_warmup() -> dict:
-    """Per-worker artifact readiness: rebuild-from-spec vs shm attach,
-    each in a fresh subprocess with imports preloaded (forked pool
-    workers inherit imports, so import time is excluded)."""
+    """Per-worker VP-table build time — what each worker pays when the
+    parent did not prewarm (``--no-shm``) — timed in a fresh subprocess
+    with imports preloaded (forked pool workers inherit imports, so
+    import time is excluded)."""
     import os
-    import pickle
     import subprocess
     import sys
-    import tempfile
-
-    from repro.exec.ops import publish_joint_artifacts
 
     rebuild_code = (
         "import time\n"
@@ -245,42 +242,20 @@ def measure_worker_warmup() -> dict:
         "eng.stack(None, 32)\n"
         "print(time.perf_counter() - t0)\n"
     )
-    attach_code = (
-        "import pickle, sys, time\n"
-        "from repro.exec.shm import attach_manifests\n"
-        "import repro.simfast.tables\n"
-        "with open(sys.argv[1], 'rb') as fh:\n"
-        "    manifests = pickle.load(fh)\n"
-        "t0 = time.perf_counter()\n"
-        "n = attach_manifests(manifests)\n"
-        "assert n >= 1, f'only {n} manifests attached'\n"
-        "print(time.perf_counter() - t0)\n"
-    )
 
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
 
-    def timed(code, *args):
+    def timed(code):
         out = subprocess.run(
-            [sys.executable, "-c", code, *args],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, env=env,
         )
         if out.returncode != 0:
             raise RuntimeError(f"warmup probe failed: {out.stderr}")
         return float(out.stdout.strip().splitlines()[-1])
 
-    manifests = publish_joint_artifacts(
-        4, fig13_joint_power.DEFAULT_BACKGROUNDS, traffic_seed=SEED
-    )
-    with tempfile.NamedTemporaryFile(suffix=".pkl", delete=False) as fh:
-        pickle.dump(manifests, fh)
-        mpath = fh.name
-    try:
-        rebuild_s = min(timed(rebuild_code) for _ in range(3))
-        attach_s = min(timed(attach_code, mpath) for _ in range(3))
-    finally:
-        os.unlink(mpath)
-    return {"rebuild_s": rebuild_s, "attach_s": attach_s}
+    return {"rebuild_s": min(timed(rebuild_code) for _ in range(3))}
 
 
 def main(argv=None) -> None:
@@ -305,58 +280,55 @@ def main(argv=None) -> None:
 
     fabric_metrics = dispatch_counts()
 
-    # Phase 2: fabric runs (the drivers publish artifacts themselves;
+    # Phase 2: fabric runs (the drivers prewarm the parent themselves;
     # we time an explicit prewarm and fold it into the fabric total).
     rows = []
-    try:
-        for name, grid, run_fn, spec in grid_rows:
-            prewarm_s = measure_prewarm(name, spec)
-            result, run_s = run_mode(run_fn, spec, FABRIC_CTX, args.jobs)
-            fabric_s = prewarm_s + run_s
-            digest, n_rows, ref_s = reference[(name, grid)]
-            fabric_digest = rows_digest(result)
-            if fabric_digest != digest:
-                raise AssertionError(
-                    f"{name}/{grid}: fabric rows diverged from the reference "
-                    f"mode ({fabric_digest[:16]} != {digest[:16]}) — the "
-                    "fabric must be bit-identical"
-                )
-            row = {
-                "experiment": name,
-                "grid": grid,
-                "n_rows": n_rows,
-                "reference_s": ref_s,
-                "fabric_s": fabric_s,
-                "prewarm_s": prewarm_s,
-                "speedup": ref_s / fabric_s,
-                "rows_digest": digest,
-                "bit_identical": True,
-            }
-            print(
-                f"{name}/{grid}: fabric    {fabric_s:7.2f}s  "
-                f"(prewarm {prewarm_s:.2f}s, speedup {row['speedup']:5.1f}x, "
-                f"digest ok)"
+    for name, grid, run_fn, spec in grid_rows:
+        prewarm_s = measure_prewarm(name, spec)
+        result, run_s = run_mode(run_fn, spec, FABRIC_CTX, args.jobs)
+        fabric_s = prewarm_s + run_s
+        digest, n_rows, ref_s = reference[(name, grid)]
+        fabric_digest = rows_digest(result)
+        if fabric_digest != digest:
+            raise AssertionError(
+                f"{name}/{grid}: fabric rows diverged from the reference "
+                f"mode ({fabric_digest[:16]} != {digest[:16]}) — the "
+                "fabric must be bit-identical"
             )
-            rows.append(row)
+        row = {
+            "experiment": name,
+            "grid": grid,
+            "n_rows": n_rows,
+            "reference_s": ref_s,
+            "fabric_s": fabric_s,
+            "prewarm_s": prewarm_s,
+            "speedup": ref_s / fabric_s,
+            "rows_digest": digest,
+            "bit_identical": True,
+        }
+        print(
+            f"{name}/{grid}: fabric    {fabric_s:7.2f}s  "
+            f"(prewarm {prewarm_s:.2f}s, speedup {row['speedup']:5.1f}x, "
+            f"digest ok)"
+        )
+        rows.append(row)
 
-        # Phase 3 (strictly after every timed run — measuring the floor
-        # inline warms the parent's in-process memo, and forked workers
-        # would inherit it and corrupt the fabric timings):
-        if not args.quick:
-            floors = measure_des_floors()
-            fabric_metrics["fig13_fine_grain_des_floor"] = floors
-            warmup = measure_worker_warmup()
-            fabric_metrics["worker_warmup"] = warmup
-            print(
-                f"structural: {fabric_metrics['fig13_tasks']} tasks -> "
-                f"{fabric_metrics['fig13_dispatches_fused']} fused dispatches; "
-                f"DES floor {floors['scalar_s']:.2f}s scalar vs "
-                f"{floors['lockstep_s']:.2f}s lockstep / {floors['points']} sims; "
-                f"worker warmup rebuild {warmup['rebuild_s'] * 1e3:.1f}ms vs "
-                f"attach {warmup['attach_s'] * 1e3:.1f}ms"
-            )
-    finally:
-        shutdown_shared_store()
+    # Phase 3 (strictly after every timed run — measuring the floor
+    # inline warms the parent's in-process memo, and forked workers
+    # would inherit it and corrupt the fabric timings):
+    if not args.quick:
+        floors = measure_des_floors()
+        fabric_metrics["fig13_fine_grain_des_floor"] = floors
+        warmup = measure_worker_warmup()
+        fabric_metrics["worker_warmup"] = warmup
+        print(
+            f"structural: {fabric_metrics['fig13_tasks']} tasks -> "
+            f"{fabric_metrics['fig13_dispatches_fused']} fused dispatches; "
+            f"DES floor {floors['scalar_s']:.2f}s scalar vs "
+            f"{floors['lockstep_s']:.2f}s lockstep / {floors['points']} sims; "
+            f"worker VP-table rebuild {warmup['rebuild_s'] * 1e3:.1f}ms "
+            "(saved by the prewarm)"
+        )
 
     payload = {
         "benchmark": "bench_joint",

@@ -23,22 +23,14 @@ spec and outcomes are reassembled in task order.
 """
 
 from .cache import ResultCache, cached_call, code_salt, probe_point
-from .context import ExecContext, get_context, set_context, use_context
+from .context import ExecContext, RetryPolicy, get_context, set_context, use_context
 from .executor import SweepExecutionError, TaskOutcome, run_sweep, sweep_stats
-from .journal import RetryPolicy, RunJournal
+from .journal import RunJournal
 from .registry import (
     preload_ops,
     register_batchable,
     resolve_task_fn,
     task_fn,
-)
-from .shm import (
-    SharedArtifactStore,
-    ShmManifest,
-    attach_manifests,
-    shared_store,
-    shutdown_shared_store,
-    sweep_orphans,
 )
 from .tasks import BatchTask, SweepTask, canonical_json, derive_seed, spec_digest
 
@@ -48,12 +40,9 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "RunJournal",
-    "SharedArtifactStore",
-    "ShmManifest",
     "SweepExecutionError",
     "SweepTask",
     "TaskOutcome",
-    "attach_manifests",
     "cached_call",
     "canonical_json",
     "code_salt",
@@ -65,10 +54,7 @@ __all__ = [
     "resolve_task_fn",
     "run_sweep",
     "set_context",
-    "shared_store",
-    "shutdown_shared_store",
     "spec_digest",
-    "sweep_orphans",
     "sweep_stats",
     "task_fn",
     "use_context",

@@ -1,4 +1,4 @@
-"""Execution context: how sweeps run (parallelism, caching).
+"""Execution context: how sweeps run (parallelism, caching, retries).
 
 Experiments read the ambient :class:`ExecContext` via :func:`get_context`
 so the CLI's ``--jobs N`` / ``--no-cache`` flags reach every driver
@@ -15,10 +15,59 @@ from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError
 
-__all__ = ["ExecContext", "get_context", "set_context", "use_context"]
+__all__ = ["ExecContext", "RetryPolicy", "get_context", "set_context", "use_context"]
 
 #: Default on-disk cache location (overridable via $REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How hard :func:`~repro.exec.executor.run_sweep` fights failures.
+
+    Parameters
+    ----------
+    max_retries:
+        Extra attempts granted to a task that ended ``error`` or
+        ``timeout`` (never ``infeasible`` — the optimizer rejecting an
+        operating point is an answer, not a failure).  0 reproduces the
+        historical single-shot behaviour.
+    backoff_base_s:
+        Deterministic exponential backoff: the executor sleeps
+        ``backoff_base_s * 2**attempt`` before retry round ``attempt``.
+        0 retries immediately (what tests use).
+    timeout_s:
+        Per-task wall-clock budget.  Enforced only when tasks run in a
+        process pool (``jobs > 1``): the parent abandons the future,
+        marks the task ``timeout`` and tears the pool down so a hung
+        worker cannot wedge the sweep.  A serial in-process run cannot
+        preempt itself; the budget is ignored there by design.
+    """
+
+    max_retries: int = 0
+    backoff_base_s: float = 0.0
+    timeout_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigurationError(
+                f"max_retries must be non-negative, got {self.max_retries}"
+            )
+        if self.backoff_base_s < 0:
+            raise ConfigurationError(
+                f"backoff_base_s must be non-negative, got {self.backoff_base_s}"
+            )
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ConfigurationError(
+                f"timeout_s must be positive, got {self.timeout_s}"
+            )
+
+    def backoff_s(self, attempt: int) -> float:
+        """Sleep before retry round ``attempt`` (0-based)."""
+        return self.backoff_base_s * (2.0 ** attempt)
+
+    def retryable(self, status: str) -> bool:
+        return status in ("error", "timeout")
 
 
 @dataclass(frozen=True)
@@ -43,15 +92,18 @@ class ExecContext:
         Serve terminal outcomes recorded in an existing journal instead
         of re-running their tasks (the CLI's ``--resume``).
     max_retries / backoff_base_s / timeout_s:
-        Ambient :class:`~repro.exec.journal.RetryPolicy` fields applied
-        to sweeps that do not pass an explicit policy; the defaults
+        Ambient :class:`RetryPolicy` fields applied to sweeps that do
+        not pass an explicit policy, validated as one; the defaults
         reproduce the historical single-shot, unbounded behaviour.
     shm:
-        Whether parallel sweeps use the zero-pickle shared-memory
-        fabric (:mod:`repro.exec.shm`): the parent publishes VP
-        tables / trace arrays and pool workers
-        attach by content key instead of rebuilding them.  ``False``
-        (the CLI's ``--no-shm``) is the bit-identical reference mode.
+        Whether the parent prewarms shared artifacts before forking
+        pool workers: joint-sweep drivers build the VP tables once
+        (:func:`~repro.exec.ops.publish_joint_artifacts`) and every
+        forked worker inherits them (spawned workers build their own).  ``False`` (the CLI's
+        ``--no-shm``) makes each worker build its own, the
+        bit-identical reference mode.  The name predates the removal
+        of the shared-memory store; it stays because the benchmark
+        harness passes it.
     batch:
         Whether the executor fuses cache-missing tasks of batchable ops
         (:func:`~repro.exec.registry.register_batchable`) into
@@ -74,10 +126,7 @@ class ExecContext:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
+        RetryPolicy(self.max_retries, self.backoff_base_s, self.timeout_s)
 
     def resolved_cache_dir(self) -> str:
         return self.cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)

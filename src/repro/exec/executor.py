@@ -14,7 +14,7 @@ sweep point can end:
 * ``infeasible`` — it raised :class:`~repro.errors.InfeasibleError`
   (an operating point the paper's optimizer legitimately rejects, e.g.
   "aggregation 3 cannot support a tail latency constraint < 29 ms");
-* ``timeout`` — it blew its :class:`~repro.exec.journal.RetryPolicy`
+* ``timeout`` — it blew its :class:`~repro.exec.context.RetryPolicy`
   wall-clock budget and the parent cut it loose (pool runs only);
 * ``error`` — it crashed; the traceback is captured so one bad point
   does not take down a 200-point sweep, and :meth:`TaskOutcome.unwrap`
@@ -34,12 +34,14 @@ The executor is self-healing on three axes, all off by default:
 
 Two fabric optimizations are on by default and value-transparent:
 
-* **pool-initializer hoisting + shm attach** — workers set up their
-  ambient context, cache handle and op registry **once** per process
-  (not per task), and attach the parent's published shared-memory
-  artifacts (:mod:`repro.exec.shm`) so VP tables and trace arrays
-  are mapped, not rebuilt; ``ctx.shm=False`` reverts to
-  rebuild-from-spec.
+* **pool-initializer hoisting** — workers set up their ambient
+  context, cache handle and op registry **once** per process (not per
+  task).  Where pools start by ``fork`` (Linux before Python 3.14), a
+  worker also inherits whatever the parent warmed before the pool
+  started: drivers with ``ctx.shm`` set build the VP tables in the
+  parent (:func:`~repro.exec.ops.publish_joint_artifacts`) and no
+  worker rebuilds them.  Under ``spawn`` each worker builds its own,
+  as with ``ctx.shm=False``; results are identical either way.
 * **batch fusion** — cache-missing tasks of a batchable op
   (:func:`~repro.exec.registry.register_batchable`) that agree on
   their shared params are dispatched as one fused batch call, which
@@ -67,8 +69,8 @@ from time import perf_counter, sleep
 
 from ..errors import InfeasibleError, SimulationError
 from .cache import STATUS_INFEASIBLE, STATUS_OK, ResultCache
-from .context import ExecContext, get_context, set_context, use_context
-from .journal import RetryPolicy, RunJournal
+from .context import ExecContext, RetryPolicy, get_context, set_context, use_context
+from .journal import RunJournal
 from .registry import batchable_for, op_is_cached, preload_ops, resolve_task_fn
 from .tasks import BatchTask, SweepTask
 
@@ -136,13 +138,13 @@ _WORKER_INIT_COUNT = 0
 _TASKS_EXECUTED = 0
 
 
-def _worker_init(ctx: ExecContext, manifests: tuple = ()) -> None:
+def _worker_init(ctx: ExecContext) -> None:
     """Pool-worker initializer: the once-per-process setup that
     ``_execute_task`` used to redo per task.
 
     Installs the worker's ambient context (``jobs=1`` so nested sweeps
-    stay in-process), builds the cache handle, imports/registers every
-    op module, and attaches the parent's shared-memory artifacts.
+    stay in-process), builds the cache handle and imports/registers
+    every op module.
     """
     global _WORKER, _WORKER_INIT_COUNT, _TASKS_EXECUTED
     _WORKER_INIT_COUNT += 1
@@ -151,10 +153,6 @@ def _worker_init(ctx: ExecContext, manifests: tuple = ()) -> None:
     _TASKS_EXECUTED = 0
     set_context(ctx)
     preload_ops()
-    if manifests and ctx.shm:
-        from .shm import attach_manifests
-
-        attach_manifests(manifests)
     _WORKER = {"cache": ResultCache(ctx.resolved_cache_dir(), enabled=ctx.cache)}
 
 
@@ -364,17 +362,10 @@ def _run_round(
     fused_failed: set[int] = set()
     n_tasks = sum(len(u.members) for u in units)
     if ctx.jobs > 1 and n_tasks > 1:
-        worker_ctx = _worker_context(ctx)
-        if ctx.shm:
-            from .shm import shared_store
-
-            manifests = shared_store().manifests()
-        else:
-            manifests = ()
         pool = ProcessPoolExecutor(
             max_workers=min(ctx.jobs, len(units)),
             initializer=_worker_init,
-            initargs=(worker_ctx, manifests),
+            initargs=(_worker_context(ctx),),
         )
         try:
             futures = [
@@ -441,7 +432,7 @@ def run_sweep(
     :class:`~repro.exec.journal.RunJournal`; pass ``resume=True`` to
     serve previously journaled terminal outcomes instead of re-running
     them.  ``policy`` bounds per-task retries and wall-clock budgets
-    (the default :class:`~repro.exec.journal.RetryPolicy` reproduces the
+    (the default :class:`~repro.exec.context.RetryPolicy` reproduces the
     historical single-shot behaviour exactly).
 
     Misses of batchable ops are fused into vectorized batch calls when
@@ -458,12 +449,6 @@ def run_sweep(
         )
     cache_dir = ctx.resolved_cache_dir()
     cache = ResultCache(cache_dir, enabled=ctx.cache)
-    if ctx.shm:
-        # Reap segments orphaned by previously killed runs before
-        # creating any of our own.
-        from .shm import sweep_orphans
-
-        sweep_orphans()
 
     if journal_path is None and ctx.journal_dir:
         # One journal file per task list, named by the list's content

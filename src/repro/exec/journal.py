@@ -1,4 +1,4 @@
-"""Crash-safe run journal and retry policy for resumable sweeps.
+"""Crash-safe run journal for resumable sweeps.
 
 A long sweep killed at task 173 of 200 should not cost 172 re-runs.
 :class:`RunJournal` is an append-only JSONL file the *parent* process
@@ -16,10 +16,11 @@ the journal was written under.  Resuming against different simulator
 code raises — a journal entry is only as trustworthy as the code that
 produced it, exactly like a cache entry.
 
-:class:`RetryPolicy` bounds how the executor fights back before a task
-lands in the journal as a failure: per-task wall-clock timeouts
-(process pools only — a serial run has no one to cut the task loose)
-and bounded retries with deterministic exponential backoff.
+:class:`~repro.exec.context.RetryPolicy` bounds how the executor
+fights back before a task lands in the journal as a failure: per-task
+wall-clock timeouts (process pools only — a serial run has no one to
+cut the task loose) and bounded retries with deterministic exponential
+backoff.
 """
 
 from __future__ import annotations
@@ -28,68 +29,18 @@ import base64
 import json
 import os
 import pickle
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ConfigurationError
 from .cache import code_salt
 
-__all__ = ["RetryPolicy", "RunJournal"]
+__all__ = ["RunJournal"]
 
 #: Journal format version; bump on incompatible line-schema changes.
 _JOURNAL_FORMAT = 1
 
 #: Statuses a resume treats as done (everything else re-runs).
 TERMINAL_STATUSES = frozenset({"ok", "infeasible"})
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard :func:`~repro.exec.executor.run_sweep` fights failures.
-
-    Parameters
-    ----------
-    max_retries:
-        Extra attempts granted to a task that ended ``error`` or
-        ``timeout`` (never ``infeasible`` — the optimizer rejecting an
-        operating point is an answer, not a failure).  0 reproduces the
-        historical single-shot behaviour.
-    backoff_base_s:
-        Deterministic exponential backoff: the executor sleeps
-        ``backoff_base_s * 2**attempt`` before retry round ``attempt``.
-        0 retries immediately (what tests use).
-    timeout_s:
-        Per-task wall-clock budget.  Enforced only when tasks run in a
-        process pool (``jobs > 1``): the parent abandons the future,
-        marks the task ``timeout`` and tears the pool down so a hung
-        worker cannot wedge the sweep.  A serial in-process run cannot
-        preempt itself; the budget is ignored there by design.
-    """
-
-    max_retries: int = 0
-    backoff_base_s: float = 0.0
-    timeout_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.backoff_base_s < 0:
-            raise ConfigurationError(
-                f"backoff_base_s must be non-negative, got {self.backoff_base_s}"
-            )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigurationError(
-                f"timeout_s must be positive, got {self.timeout_s}"
-            )
-
-    def backoff_s(self, attempt: int) -> float:
-        """Sleep before retry round ``attempt`` (0-based)."""
-        return self.backoff_base_s * (2.0 ** attempt)
-
-    def retryable(self, status: str) -> bool:
-        return status in ("error", "timeout")
 
 
 def _encode_value(value: object) -> str:

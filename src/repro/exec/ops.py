@@ -739,24 +739,24 @@ def publish_joint_artifacts(
     backgrounds,
     traffic_seed: int = 1,
     table_k_max: int = 32,
-) -> list:
-    """Parent-side prewarm + publish for joint sweeps (fig13 /
-    datacenter-scale drivers call this before fanning out).
+) -> None:
+    """Parent-side prewarm for joint sweeps (fig13 / datacenter-scale
+    drivers call this before fanning out).
 
-    Seeds the idle-head VP table stack and publishes it to the shared-
-    memory store, so workers attach instead of re-deriving it.  Path
-    sets are not shared: a worker compiles the ones it routes in closed
-    form (see :mod:`repro.netfast.index`), which is cheaper than an
-    attach.  ``backgrounds`` and ``traffic_seed`` name the sweep's
-    traffic and are kept for call compatibility.  Pure prewarm: no
-    publication changes any computed value.
+    Builds the idle-head VP table stack in this process's
+    :func:`~repro.simfast.tables.shared_table_engine` registry.  Pool
+    workers fork after it, so each inherits the warm engine instead of
+    re-deriving it.  Path sets are not prewarmed: a worker compiles the
+    ones it routes in closed form (see :mod:`repro.netfast.index`).
+    ``backgrounds`` and ``traffic_seed`` name the sweep's traffic and
+    are kept for call compatibility.  No computed value depends on the
+    prewarm.
     """
-    from ..simfast.tables import publish_shared_tables, shared_table_engine
+    from ..simfast.tables import shared_table_engine
 
     workload = workload_for(arity)
     engine = shared_table_engine(workload.service_model, XEON_LADDER)
     engine.stack(None, table_k_max)
-    return publish_shared_tables()
 
 
 # -- network latency summaries -----------------------------------------------------

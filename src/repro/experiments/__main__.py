@@ -21,6 +21,7 @@ import argparse
 import sys
 import time
 
+from ..errors import ConfigurationError
 from ..exec import ExecContext, set_context
 from . import REGISTRY
 from .persist import save_result
@@ -98,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-shm",
         action="store_true",
-        help="disable the shared-memory artifact fabric (workers rebuild "
-        "VP tables from spec; bit-identical reference mode)",
+        help="do not prewarm VP tables in the parent before forking "
+        "workers (each worker builds its own; bit-identical reference mode)",
     )
     parser.add_argument(
         "--no-batch",
@@ -130,8 +131,8 @@ def main(argv: list[str]) -> int:
               "[--jobs N] [--no-cache] [--cache-dir DIR] [--save DIR]")
         return 0
 
-    set_context(
-        ExecContext(
+    try:
+        ctx = ExecContext(
             jobs=args.jobs,
             cache=not args.no_cache,
             cache_dir=args.cache_dir,
@@ -142,7 +143,10 @@ def main(argv: list[str]) -> int:
             shm=not args.no_shm,
             batch=not args.no_batch,
         )
-    )
+    except ConfigurationError as err:
+        print(err)
+        return 1
+    set_context(ctx)
 
     names = sorted(REGISTRY) if args.figure == "all" else [args.figure]
     for name in names:

@@ -105,8 +105,8 @@ def run(
 
     ctx = get_context()
     if ctx.jobs > 1 and ctx.shm:
-        # Publish the VP tables once; pool workers attach by content
-        # key instead of rebuilding them.
+        # Build the VP tables once here; forked pool workers inherit
+        # them instead of rebuilding them.
         from ..exec.ops import publish_joint_artifacts
 
         publish_joint_artifacts(4, backgrounds, traffic_seed=seed)

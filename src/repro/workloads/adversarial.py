@@ -24,7 +24,7 @@ module packages four such stressors as picklable, seed-deterministic
 Each scenario carries a per-epoch ``regimes`` labelling used by the
 regret accounting (the oracle picks one operating point *per regime*),
 converts to a :class:`~repro.workloads.diurnal.DiurnalTrace` for
-fingerprinting and shared-memory publication (:mod:`.traceio`), and is
+fingerprinting (:mod:`.traceio`), and is
 reconstructible from ``(name, n_epochs, seed)`` alone so sweep tasks
 stay primitive.
 """

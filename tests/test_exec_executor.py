@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
@@ -37,6 +38,30 @@ def _hard_exit(*, x):
     if x == 13:
         os._exit(1)  # die without cleanup: breaks the process pool
     return x
+
+
+@task_fn("test/worker-metrics")
+def _worker_metrics(*, x):
+    from repro.exec import executor, registry
+
+    return {
+        "pid": os.getpid(),
+        "inits": executor._WORKER_INIT_COUNT,
+        "preloads": registry.PRELOAD_PASSES,
+        "executed": executor._TASKS_EXECUTED,
+    }
+
+
+@task_fn("test/tables-inherited")
+def _tables_inherited(*, arity, x):
+    """Whether this process already holds warm VP tables for the
+    workload, checked before anything could build them."""
+    from repro.exec.ops import workload_for
+    from repro.server.dvfs import XEON_LADDER
+    from repro.simfast import tables
+
+    service_model = workload_for(arity).service_model
+    return tables._fingerprint(service_model, XEON_LADDER) in tables._SHARED
 
 
 def _ctx(tmp_path, **kw):
@@ -149,3 +174,52 @@ class TestSweepStats:
         assert "1 errors" in line
         warm_line = sweep_stats(run_sweep(tasks[:2], ctx=ctx))
         assert "2 cached" in warm_line
+
+
+class TestWorkerSetup:
+    def test_worker_initializes_once_for_many_tasks(self, tmp_path):
+        """Regression for the per-task startup waste: registry import
+        and context/cache setup must run once per worker process, not
+        once per task."""
+        tasks = [SweepTask.make("test/worker-metrics", x=x) for x in range(8)]
+        ctx = ExecContext(jobs=2, cache=False, cache_dir=str(tmp_path))
+        outs = run_sweep(tasks, ctx=ctx)
+        reports = [o.unwrap() for o in outs]
+
+        by_pid: dict[int, list[dict]] = {}
+        for rep in reports:
+            by_pid.setdefault(rep["pid"], []).append(rep)
+        assert by_pid, "no worker reports collected"
+        for pid, reps in by_pid.items():
+            # The initializer ran exactly once in this worker...
+            assert {r["inits"] for r in reps} == {1}, f"worker {pid} re-inited"
+            # ...and op-module preloading never re-ran per task.
+            assert len({r["preloads"] for r in reps}) == 1
+        # Every task actually executed (the counter is per-process).
+        total = sum(max(r["executed"] for r in reps) for reps in by_pid.values())
+        assert total == len(tasks)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the parent's registries only under fork",
+    )
+    @pytest.mark.parametrize("shm", [True, False])
+    def test_forked_workers_inherit_prewarmed_tables(self, tmp_path, shm):
+        """The joint-sweep drivers prewarm VP tables in the parent when
+        ``ctx.shm`` is set; forked workers must find them warm rather
+        than build their own."""
+        from repro.exec.ops import publish_joint_artifacts
+        from repro.simfast.tables import clear_shared_engines
+
+        ctx = _ctx(tmp_path, jobs=2, cache=False, shm=shm)
+        tasks = [
+            SweepTask.make("test/tables-inherited", arity=4, x=x) for x in range(4)
+        ]
+        clear_shared_engines()
+        try:
+            if ctx.shm:  # what fig13 / datacenter-scale do before fanning out
+                publish_joint_artifacts(4, (0.2,))
+            outs = run_sweep(tasks, ctx=ctx)
+        finally:
+            clear_shared_engines()
+        assert [o.unwrap() for o in outs] == [shm] * len(tasks)

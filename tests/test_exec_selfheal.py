@@ -82,6 +82,14 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy(timeout_s=0.0)
 
+    def test_exec_context_validates_policy_fields(self):
+        with pytest.raises(ConfigurationError):
+            ExecContext(timeout_s=0)
+        with pytest.raises(ConfigurationError):
+            ExecContext(backoff_base_s=-1)
+        with pytest.raises(ConfigurationError):
+            ExecContext(max_retries=-1)
+
     def test_deterministic_exponential_backoff(self):
         p = RetryPolicy(max_retries=3, backoff_base_s=0.5)
         assert [p.backoff_s(a) for a in range(3)] == [0.5, 1.0, 2.0]
@@ -266,47 +274,3 @@ class TestJournalResume:
                 assert o.cached
                 x = o.task.kwargs["x"]
                 assert executions(tmp_path, f"count-{x}.log") == 1
-
-    def test_pool_crash_leaks_no_shm_segments(self, tmp_path):
-        """Chaos x fabric: a worker hard-exits mid-sweep while the
-        parent has shared-memory artifacts published.  The dead worker
-        must not tear the parent's segments down, and executor shutdown
-        must leave /dev/shm clean."""
-        import numpy as np
-
-        from repro.exec import shutdown_shared_store
-        from repro.exec.shm import SEG_PREFIX
-        from repro.workloads.diurnal import DiurnalTrace
-        from repro.workloads.traceio import publish_shared_trace
-
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("needs a POSIX shm filesystem")
-
-        trace = DiurnalTrace(
-            minutes=np.arange(6.0),
-            search_load=np.full(6, 0.5),
-            background_utilization=np.full(6, 0.2),
-        )
-        key, manifest = publish_shared_trace(trace)
-        assert os.path.exists(os.path.join("/dev/shm", manifest.segment))
-
-        ctx = _ctx(tmp_path, jobs=2, cache=False)
-        tasks = self.make_tasks(tmp_path, xs=(21, 22, 23)) + [
-            SweepTask.make("test/selfheal-exit", x=31)
-        ]
-        outcomes = run_sweep(tasks, ctx=ctx)
-        assert any(o.status == "error" for o in outcomes)
-
-        # The killed worker's death did not unlink the parent's segment
-        # (bpo-39959 would have let its resource tracker do exactly that).
-        assert os.path.exists(os.path.join("/dev/shm", manifest.segment))
-
-        shutdown_shared_store()
-        assert not os.path.exists(os.path.join("/dev/shm", manifest.segment))
-        # Nothing else of ours lingers either.
-        leaked = [
-            n
-            for n in os.listdir("/dev/shm")
-            if n.startswith(f"{SEG_PREFIX}-{os.getpid()}-")
-        ]
-        assert leaked == [], f"leaked shm segments: {leaked}"

@@ -116,3 +116,9 @@ class TestCli:
         from repro.experiments.__main__ import main
 
         assert main(["prog", "fig08", "--save"]) == 1
+
+    def test_bad_task_timeout_rejected(self, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(["prog", "fig01", "--task-timeout", "0"]) == 1
+        assert "timeout_s must be positive" in capsys.readouterr().out
